@@ -353,8 +353,8 @@ func parseSlaves(s string) (core.Platform, error) {
 		if err != nil {
 			return core.Platform{}, fmt.Errorf("-slaves entry %d (%q): bad computation time %q: %w", i, token, parts[1], err)
 		}
-		if cv <= 0 || pv <= 0 {
-			return core.Platform{}, fmt.Errorf("-slaves entry %d (%q): costs must be positive", i, token)
+		if !core.ValidCost(cv) || !core.ValidCost(pv) {
+			return core.Platform{}, fmt.Errorf("-slaves entry %d (%q): costs must be positive and finite", i, token)
 		}
 		c = append(c, cv)
 		p = append(p, pv)

@@ -37,6 +37,10 @@ func TestParseSLOs(t *testing.T) {
 		"availability:1.5",        // target outside (0,1)
 		"p=latency:-1:0.9",        // non-positive threshold
 		"latency:0.5:0.99,,x:0.9", // empty entry then junk
+		"availability:NaN",        // NaN target
+		"latency:+Inf:0.99",       // infinite threshold
+		"latency:NaN:0.99",        // NaN threshold
+		"latency:0.5:NaN",         // NaN latency target
 	} {
 		if _, err := parseSLOs(bad); err == nil {
 			t.Fatalf("-slo %q accepted", bad)
@@ -70,6 +74,9 @@ func TestParseSlavesErrorsNameTokenAndIndex(t *testing.T) {
 		{"1:1,2:0", []string{"entry 1", `"2:0"`, "positive"}},
 		{"", []string{"entry 0", "c:p"}},
 		{"1:2,", []string{"entry 1", "c:p"}},
+		{"1:Inf,1:1", []string{"entry 0", `"1:Inf"`, "finite"}},
+		{"NaN:1", []string{"entry 0", `"NaN:1"`, "finite"}},
+		{"1:1,-Inf:1", []string{"entry 1", `"-Inf:1"`, "positive"}},
 	}
 	for _, tc := range cases {
 		_, err := parseSlaves(tc.in)

@@ -7,6 +7,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 )
@@ -63,13 +64,18 @@ func NewPlatform(c, p []float64) Platform {
 		panic(fmt.Sprintf("core: platform needs matching non-empty c (%d) and p (%d)", len(c), len(p)))
 	}
 	for j := range c {
-		if c[j] <= 0 || p[j] <= 0 {
-			panic(fmt.Sprintf("core: slave %d has non-positive cost c=%v p=%v", j, c[j], p[j]))
+		if !ValidCost(c[j]) || !ValidCost(p[j]) {
+			panic(fmt.Sprintf("core: slave %d has a non-positive or non-finite cost c=%v p=%v", j, c[j], p[j]))
 		}
 	}
 	pl := Platform{C: append([]float64(nil), c...), P: append([]float64(nil), p...)}
 	return pl
 }
+
+// ValidCost reports whether x can be a slave's communication or
+// computation time: positive and finite. NaN fails the test, unlike
+// x <= 0, which NaN passes.
+func ValidCost(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // M returns the number of slaves.
 func (pl Platform) M() int { return len(pl.C) }
@@ -188,11 +194,11 @@ func (pl Platform) Validate() error {
 		return fmt.Errorf("core: mismatched cost vectors: %d communication vs %d computation", len(pl.C), len(pl.P))
 	}
 	for j := range pl.C {
-		if pl.C[j] <= 0 {
-			return fmt.Errorf("core: slave %d has non-positive communication time %v", j, pl.C[j])
+		if !ValidCost(pl.C[j]) {
+			return fmt.Errorf("core: slave %d has non-positive or non-finite communication time %v", j, pl.C[j])
 		}
-		if pl.P[j] <= 0 {
-			return fmt.Errorf("core: slave %d has non-positive computation time %v", j, pl.P[j])
+		if !ValidCost(pl.P[j]) {
+			return fmt.Errorf("core: slave %d has non-positive or non-finite computation time %v", j, pl.P[j])
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -26,6 +27,9 @@ func TestNewPlatformPanics(t *testing.T) {
 		{"mismatched", []float64{1}, []float64{1, 2}},
 		{"zero comm", []float64{0}, []float64{1}},
 		{"negative comp", []float64{1}, []float64{-1}},
+		{"NaN comm", []float64{math.NaN()}, []float64{1}},
+		{"+Inf comp", []float64{1}, []float64{math.Inf(1)}},
+		{"-Inf comm", []float64{math.Inf(-1)}, []float64{1}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -126,6 +130,17 @@ func TestPlatformValidate(t *testing.T) {
 	}
 	if err := (Platform{C: []float64{1}, P: []float64{1, 2}}).Validate(); err == nil {
 		t.Fatal("mismatched platform accepted")
+	}
+	for _, bad := range []Platform{
+		{C: []float64{math.NaN()}, P: []float64{1}},
+		{C: []float64{1}, P: []float64{math.NaN()}},
+		{C: []float64{math.Inf(1)}, P: []float64{1}},
+		{C: []float64{1}, P: []float64{math.Inf(1)}},
+		{C: []float64{1}, P: []float64{math.Inf(-1)}},
+	} {
+		if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "non-finite") {
+			t.Fatalf("non-finite platform %v: error %v", bad, err)
+		}
 	}
 }
 

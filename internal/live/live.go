@@ -19,9 +19,10 @@
 //     runtime can never drift apart.
 //
 // The master keeps its scheduler-facing bookkeeping in a sim.Driver, the
-// same exported master-side surface the message-passing emulation uses,
-// and produces an event log plus a core.Schedule, so trace.Analyze, the
-// validity checks and the paper's objectives all apply to live runs.
+// same master-side surface the discrete-event engine and the
+// message-passing emulation use, and produces an event log plus a
+// core.Schedule, so trace.Analyze, the validity checks and the paper's
+// objectives all apply to live runs.
 package live
 
 import (
@@ -152,36 +153,25 @@ func (rt *Runtime) Start() {
 // are admitted in submission order. Only real worlds accept external
 // submissions; virtual worlds panic (use a Source).
 func (rt *Runtime) Submit(spec JobSpec) int {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.draining {
-		panic("live: Submit after Drain")
-	}
-	spec.ID = int(rt.nextID.Add(1)) - 1
-	rt.world.Post(rt.prog.masterID, Msg{Kind: msgSubmit, Task: spec.ID, Job: spec})
-	return spec.ID
+	return rt.submitSpecs(rt.world.Post, []JobSpec{spec})
 }
 
 // SubmitBatch injects count identical jobs under one lock acquisition
-// and returns their consecutive IDs in submission order. A service
-// ingesting batched submissions (schedd's POST /jobs) previously took
-// the runtime lock once per job, serializing concurrent producers on
-// count lock round-trips per request; the batch path makes one batch
-// one critical section while keeping the same per-job admission order.
+// and returns their consecutive IDs in submission order, so one batched
+// request (schedd's POST /jobs) is one critical section rather than
+// count lock round-trips.
 func (rt *Runtime) SubmitBatch(spec JobSpec, count int) []int {
 	if count <= 0 {
 		return nil
 	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.draining {
-		panic("live: Submit after Drain")
+	specs := make([]JobSpec, count)
+	for i := range specs {
+		specs[i] = spec
 	}
+	base := rt.submitSpecs(rt.world.Post, specs)
 	ids := make([]int, count)
 	for i := range ids {
-		spec.ID = int(rt.nextID.Add(1)) - 1
-		rt.world.Post(rt.prog.masterID, Msg{Kind: msgSubmit, Task: spec.ID, Job: spec})
-		ids[i] = spec.ID
+		ids[i] = base + i
 	}
 	return ids
 }
@@ -199,8 +189,14 @@ func (rt *Runtime) SubmitSpecs(specs []JobSpec) int {
 	return rt.submitSpecs(rt.world.Post, specs)
 }
 
-// submitSpecs is the shared batched-admission core: one lock held across
-// every post so concurrent submitters cannot interleave IDs mid-batch.
+// submitSpecs is the one admission core behind every submit path,
+// external and Source-side alike: the ID counter is shared, and the lock
+// is held across every post so concurrent submitters can neither
+// interleave IDs mid-batch nor deliver jobs to the master out of ID
+// order. Submitting after any source or external caller has drained
+// panics (on a Source, surfaced as the world error): the master may
+// already have exited, and a silently dropped job would corrupt the
+// run's accounting.
 func (rt *Runtime) submitSpecs(post func(dst int, m Msg), specs []JobSpec) int {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -334,25 +330,6 @@ func (rt *Runtime) Drain() {
 	rt.world.Post(rt.prog.masterID, Msg{Kind: msgDrain})
 }
 
-// submitFrom is the Source-side submission path: the ID counter is
-// shared with external Submit, the message is posted by the source actor
-// itself (never blocking, delivered at the current instant). The lock is
-// held across the post — exactly like Submit — so concurrent submitters
-// cannot deliver jobs to the master out of ID order. Submitting after
-// any source or external caller has drained panics (surfaced as the
-// world error): the master may already have exited, and a silently
-// dropped job would corrupt the run's accounting.
-func (rt *Runtime) submitFrom(n Node, spec JobSpec) int {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.draining {
-		panic("live: Submit after Drain")
-	}
-	spec.ID = int(rt.nextID.Add(1)) - 1
-	n.Post(rt.prog.masterID, Msg{Kind: msgSubmit, Task: spec.ID, Job: spec})
-	return spec.ID
-}
-
 // Wait blocks until the run completes (drained, or failed). It returns
 // the substrate error, if any.
 func (rt *Runtime) Wait() error {
@@ -429,7 +406,9 @@ func (s *Source) SleepUntil(t float64) {
 }
 
 // Submit submits one job at the current instant and returns its ID.
-func (s *Source) Submit(spec JobSpec) int { return s.rt.submitFrom(s.n, spec) }
+func (s *Source) Submit(spec JobSpec) int {
+	return s.rt.submitSpecs(s.n.Post, []JobSpec{spec})
+}
 
 // SubmitSpecs submits a batch of heterogeneous jobs at the current
 // instant under one runtime lock acquisition and returns the first

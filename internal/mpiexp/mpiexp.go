@@ -121,8 +121,8 @@ func Run(cfg Config) (Result, error) {
 
 // master is the rank-0 program: the scheduling policy's event loop. All
 // of its scheduler-facing bookkeeping lives in a sim.Driver — the same
-// master-side state the live runtime (internal/live) uses — so the two
-// substrates cannot drift apart.
+// master-side state the discrete-event engine and the live runtime
+// (internal/live) use — so the substrates cannot drift apart.
 type master struct {
 	cfg      Config
 	pl       core.Platform

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"math"
 	"sync"
 )
 
@@ -54,14 +55,14 @@ func (o Objective) Validate() error {
 	}
 	switch o.Kind {
 	case ObjectiveLatency:
-		if o.ThresholdSeconds <= 0 {
-			return fmt.Errorf("obs: latency objective %q needs a positive threshold", o.Name)
+		if !(o.ThresholdSeconds > 0) || math.IsInf(o.ThresholdSeconds, 1) {
+			return fmt.Errorf("obs: latency objective %q needs a positive finite threshold, got %v", o.Name, o.ThresholdSeconds)
 		}
 	case ObjectiveAvailability:
 	default:
 		return fmt.Errorf("obs: objective %q has unknown kind %q", o.Name, o.Kind)
 	}
-	if o.Target <= 0 || o.Target >= 1 {
+	if !(o.Target > 0 && o.Target < 1) { // NaN fails both comparisons
 		return fmt.Errorf("obs: objective %q target %v outside (0, 1)", o.Name, o.Target)
 	}
 	return nil

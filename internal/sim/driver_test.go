@@ -31,6 +31,9 @@ func TestDriverLifecycle(t *testing.T) {
 	if v.ReleasedCount() != 1 || v.Outstanding(0) != 0 {
 		t.Fatal("view counts wrong")
 	}
+	if _, ok := v.ObservedComm(0); ok {
+		t.Fatal("observation before any send completed")
+	}
 	// Dispatch at t=0: ledger predicts arrival with the nominal cost.
 	d.MarkSent("test", 0, 0)
 	if d.PendingCount() != 0 || v.Outstanding(0) != 1 {
@@ -43,7 +46,7 @@ func TestDriverLifecycle(t *testing.T) {
 	// ledger both switch to the measurement.
 	now = 1.5
 	d.MarkArrived(0, 0, 1.5)
-	if obs, ok := v.(DynamicView).ObservedComm(0); !ok || obs != 1.5 {
+	if obs, ok := v.ObservedComm(0); !ok || obs != 1.5 {
 		t.Fatalf("ObservedComm %v %v", obs, ok)
 	}
 	if got := v.ReadyEstimate(0); got != 4.5 {
@@ -54,7 +57,7 @@ func TestDriverLifecycle(t *testing.T) {
 	if d.Done() != 1 || v.Outstanding(0) != 0 || v.CompletedCount() != 1 {
 		t.Fatal("completion bookkeeping wrong")
 	}
-	if obs, ok := v.(DynamicView).ObservedComp(0); !ok || obs != 3.5 {
+	if obs, ok := v.ObservedComp(0); !ok || obs != 3.5 {
 		t.Fatalf("ObservedComp %v %v", obs, ok)
 	}
 	s := d.Schedule()
@@ -76,7 +79,7 @@ func TestDriverLifecycle(t *testing.T) {
 func TestDriverAlive(t *testing.T) {
 	now := 0.0
 	d := driverAt(&now)
-	dv := d.View().(DynamicView)
+	dv := d.View()
 	for j := 0; j < 2; j++ {
 		if !dv.Alive(j) {
 			t.Fatalf("slave %d dead on a static platform", j)

@@ -54,50 +54,6 @@ func (e *DeadSlaveError) Error() string {
 		e.Scheduler, e.Task, state, e.Slave, e.Time)
 }
 
-// DynamicView is the optional extension of View that engines with
-// liveness or an observation feed provide: slave liveness plus the actual
-// durations of completed sends and computations, smoothed. The engine and
-// every Driver-backed master (internal/mpiexp, internal/live) implement
-// it; use the IsAlive/ObservedComm/ObservedComp helpers to degrade
-// gracefully on views that do not.
-type DynamicView interface {
-	View
-	// Alive reports whether slave j currently accepts sends.
-	Alive(j int) bool
-	// ObservedComm returns a recency-weighted average of the actual send
-	// durations to slave j, and whether any send has completed yet.
-	ObservedComm(j int) (float64, bool)
-	// ObservedComp returns a recency-weighted average of the actual
-	// computation durations on slave j, and whether any task has finished.
-	ObservedComp(j int) (float64, bool)
-}
-
-// IsAlive reports slave liveness through any View: views without dynamics
-// have no failures, so every slave is alive.
-func IsAlive(v View, j int) bool {
-	if dv, ok := v.(DynamicView); ok {
-		return dv.Alive(j)
-	}
-	return true
-}
-
-// ObservedComm reads the observation feed through any View; views without
-// dynamics report no observations.
-func ObservedComm(v View, j int) (float64, bool) {
-	if dv, ok := v.(DynamicView); ok {
-		return dv.ObservedComm(j)
-	}
-	return 0, false
-}
-
-// ObservedComp is ObservedComm for computation durations.
-func ObservedComp(v View, j int) (float64, bool) {
-	if dv, ok := v.(DynamicView); ok {
-		return dv.ObservedComp(j)
-	}
-	return 0, false
-}
-
 // ewma is a recency-weighted duration average. Smoothing at 1/2 tracks
 // speed drift within a couple of completions while damping the per-task
 // size perturbation.
@@ -117,15 +73,15 @@ func (o *ewma) observe(x float64) {
 // checkSlave panics on out-of-range slave indices: dynamics callers are
 // trusted scenario code, so a bad index is a programming error.
 func (e *Engine) checkSlave(j int) {
-	if j < 0 || j >= e.pl.M() {
-		panic(fmt.Sprintf("sim: dynamics on unknown slave %d (m=%d)", j, e.pl.M()))
+	if j < 0 || j >= e.drv.pl.M() {
+		panic(fmt.Sprintf("sim: dynamics on unknown slave %d (m=%d)", j, e.drv.pl.M()))
 	}
 }
 
 // SlaveAlive reports whether slave j currently accepts sends.
 func (e *Engine) SlaveAlive(j int) bool {
 	e.checkSlave(j)
-	return e.alive[j]
+	return e.drv.alive[j]
 }
 
 // Err returns the halting validation error, if the scheduler committed
@@ -134,13 +90,13 @@ func (e *Engine) SlaveAlive(j int) bool {
 func (e *Engine) Err() error { return e.halt }
 
 // Task returns the task with the given ID (including injected ones).
-func (e *Engine) Task(id core.TaskID) core.Task { return e.tasks[id] }
+func (e *Engine) Task(id core.TaskID) core.Task { return e.drv.tasks[id] }
 
 // Record returns the execution record of the task so far.
-func (e *Engine) Record(id core.TaskID) core.Record { return e.records[id] }
+func (e *Engine) Record(id core.TaskID) core.Record { return e.drv.records[id] }
 
 // Lost reports whether a slave failure destroyed the task's attempt.
-func (e *Engine) Lost(id core.TaskID) bool { return e.lost[id] }
+func (e *Engine) Lost(id core.TaskID) bool { return e.drv.records[id].Lost }
 
 // FailSlave kills slave j at the current time. Its in-flight send is
 // aborted (freeing the master's port immediately), its queue and the task
@@ -149,10 +105,9 @@ func (e *Engine) Lost(id core.TaskID) bool { return e.lost[id] }
 // order; re-releasing them (or not) is the caller's policy.
 func (e *Engine) FailSlave(j int) []core.TaskID {
 	e.checkSlave(j)
-	if !e.alive[j] {
+	if !e.drv.alive[j] {
 		panic(fmt.Sprintf("sim: failing slave %d which is already down", j))
 	}
-	e.alive[j] = false
 
 	// Cancel the slave's scheduled events: the in-flight send (at most one
 	// under the one-port model) and the completion of the task it computes.
@@ -170,22 +125,11 @@ func (e *Engine) FailSlave(j int) []core.TaskID {
 		e.portFree = e.now // the master stops transmitting into a dead link
 	}
 
-	var lost []core.TaskID
-	for idx := range e.tasks {
-		if e.sent[idx] && !e.done[idx] && !e.lost[idx] && e.records[idx].Slave == j {
-			e.lost[idx] = true
-			e.lostCount++
-			e.records[idx].Lost = true
-			lost = append(lost, core.TaskID(idx))
-		}
-	}
-
 	s := &e.slaves[j]
 	s.queue.Reset()
 	s.computing = -1
 	s.busyUntil = e.now
-	e.model.Fail(j, e.now)
-	return lost
+	return e.drv.MarkFailed(j, e.now)
 }
 
 // LeaveSlave is a permanent departure: FailSlave plus the guarantee that
@@ -204,11 +148,10 @@ func (e *Engine) RecoverSlave(j int) {
 	if e.departed[j] {
 		panic(fmt.Sprintf("sim: recovering slave %d which departed for good", j))
 	}
-	if e.alive[j] {
+	if e.drv.alive[j] {
 		panic(fmt.Sprintf("sim: recovering slave %d which is alive", j))
 	}
-	e.alive[j] = true
-	e.model.Sync(j, e.now)
+	e.drv.MarkRecovered(j, e.now)
 }
 
 // AddSlave appends a new slave with the given nominal (= initial actual)
@@ -218,17 +161,11 @@ func (e *Engine) AddSlave(c, p float64) int {
 	if c <= 0 || p <= 0 {
 		panic(fmt.Sprintf("sim: joining slave has non-positive costs c=%v p=%v", c, p))
 	}
-	e.pl.C = append(e.pl.C, c)
-	e.pl.P = append(e.pl.P, p)
 	e.actual.C = append(e.actual.C, c)
 	e.actual.P = append(e.actual.P, p)
 	e.slaves = append(e.slaves, slaveState{computing: -1, busyUntil: e.now})
-	e.alive = append(e.alive, true)
 	e.departed = append(e.departed, false)
-	e.obsComm = append(e.obsComm, ewma{})
-	e.obsComp = append(e.obsComp, ewma{})
-	e.model.AddSlave(e.now)
-	return e.pl.M() - 1
+	return e.drv.AddSlave(c, p, e.now)
 }
 
 // DriftCosts changes slave j's actual per-task costs from now on. The
@@ -253,19 +190,4 @@ func (e *Engine) Kick() {
 	if e.halt == nil {
 		e.consult()
 	}
-}
-
-// Alive implements DynamicView.
-func (v *engineView) Alive(j int) bool { return v.e.alive[j] }
-
-// ObservedComm implements DynamicView.
-func (v *engineView) ObservedComm(j int) (float64, bool) {
-	o := v.e.obsComm[j]
-	return o.mean, o.seen
-}
-
-// ObservedComp implements DynamicView.
-func (v *engineView) ObservedComp(j int) (float64, bool) {
-	o := v.e.obsComp[j]
-	return o.mean, o.seen
 }

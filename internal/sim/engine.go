@@ -60,12 +60,13 @@ type Scheduler interface {
 	Decide(v View) Action
 }
 
-// View is the scheduler-visible projection of the execution state: static
-// platform costs, the master's own bookkeeping, and pending tasks — never
-// future releases or actual perturbed sizes. The discrete-event engine
-// provides one implementation; the message-passing emulation in
-// internal/mpiexp provides another, so the same Scheduler values drive
-// both substrates.
+// View is the scheduler-visible projection of the master's state: static
+// platform costs, the master's own bookkeeping, slave liveness, the
+// observation feed, and pending tasks — never future releases or actual
+// perturbed sizes. The Driver provides the one implementation, and every
+// substrate (this engine, internal/mpiexp, internal/live) consults its
+// Scheduler through a Driver, so the same Scheduler values drive all of
+// them.
 type View interface {
 	// Now returns the current time.
 	Now() float64
@@ -96,6 +97,14 @@ type View interface {
 	ReleasedCount() int
 	// CompletedCount returns how many tasks have finished.
 	CompletedCount() int
+	// Alive reports whether slave j currently accepts sends.
+	Alive(j int) bool
+	// ObservedComm returns a recency-weighted average of the actual send
+	// durations to slave j, and whether any send has completed yet.
+	ObservedComm(j int) (float64, bool)
+	// ObservedComp returns a recency-weighted average of the actual
+	// computation durations on slave j, and whether any task has finished.
+	ObservedComp(j int) (float64, bool)
 }
 
 // slaveState is the ground-truth state of one slave.
@@ -118,12 +127,14 @@ func WithUnboundedPort() Option {
 	return func(e *Engine) { e.unboundedPort = true }
 }
 
-// Engine simulates one scheduler on one platform. The platform may change
-// mid-run through the dynamics hooks in dynamics.go (slave failures,
-// recoveries, joins, departures and speed drift); a static run never
-// touches them and behaves exactly as before.
+// Engine simulates one scheduler on one platform. It owns only ground
+// truth — the event queue, the actual costs, the slaves' queues and the
+// master's port — and keeps everything the master knows in a Driver,
+// which is also what the Scheduler sees. The platform may change mid-run
+// through the dynamics hooks in dynamics.go (slave failures, recoveries,
+// joins, departures and speed drift); a static run never touches them.
 type Engine struct {
-	pl     core.Platform // nominal costs: what the master (and View) believes
+	drv    *Driver       // the master's bookkeeping and the Scheduler's View
 	actual core.Platform // ground-truth costs: what sends and computations take
 	sched  Scheduler
 
@@ -140,29 +151,15 @@ type Engine struct {
 	// merge in peekNext keeps the combined order identical to a heap
 	// holding everything.
 	nextRelease int
-	initial     int // tasks[0:initial] are the sorted initial workload
-	tasks       []core.Task
-	records     []core.Record
-	sent        []bool
-	done        []bool
-	pending     taskFIFO // released, unsent task indices, FIFO
-	released    int      // tasks whose release event has been processed
+	initial     int // tasks 0..initial-1 are the sorted initial workload
 	portFree    float64
 	slaves      []slaveState
-	model       *Ledger
 
-	// Dynamic-platform state (dynamics.go). halt is the typed error that
-	// stops the simulation when the scheduler targets a dead slave.
-	alive     []bool
-	departed  []bool
-	lost      []bool // per task: true once a failure destroyed the attempt
-	lostCount int
-	obsComm   []ewma // observed send durations per slave
-	obsComp   []ewma // observed computation durations per slave
-	halt      error
-
-	completed int
-	view      engineView
+	// departed marks slaves that left for good (dynamics.go). halt is the
+	// typed error that stops the simulation when the scheduler targets a
+	// dead slave.
+	departed []bool
+	halt     error
 }
 
 // New builds an engine for the given platform, scheduler and initial task
@@ -171,26 +168,15 @@ type Engine struct {
 func New(pl core.Platform, sched Scheduler, tasks []core.Task, opts ...Option) *Engine {
 	inst := core.NewInstance(pl, tasks)
 	m := inst.Platform.M()
-	n := len(inst.Tasks)
 	e := &Engine{
-		pl:       inst.Platform.Clone(),
 		actual:   inst.Platform.Clone(),
 		sched:    sched,
 		slaves:   make([]slaveState, m),
-		model:    NewLedger(m),
-		alive:    make([]bool, m),
 		departed: make([]bool, m),
-		obsComm:  make([]ewma, m),
-		obsComp:  make([]ewma, m),
-		// Every per-task slice is sized for the initial workload up front;
-		// a run without injection or churn never grows them again.
-		tasks:   make([]core.Task, 0, n),
-		records: make([]core.Record, 0, n),
-		sent:    make([]bool, 0, n),
-		done:    make([]bool, 0, n),
-		lost:    make([]bool, 0, n),
 	}
-	e.pending.grow(n)
+	// The Driver reserves room for the initial workload up front; a run
+	// without injection never grows its per-task slices again.
+	e.drv = newDriver(inst.Platform, func() float64 { return e.now }, len(inst.Tasks))
 	// Beyond the streamed initial releases, a task queues at most two
 	// coexisting events (send completion, compute completion).
 	e.events.Grow(2*m + 8)
@@ -199,28 +185,16 @@ func New(pl core.Platform, sched Scheduler, tasks []core.Task, opts ...Option) *
 	}
 	for j := range e.slaves {
 		e.slaves[j].computing = -1
-		e.alive[j] = true
 	}
-	sched.Reset(e.pl.Clone())
+	sched.Reset(e.drv.pl.Clone())
 	// The initial workload is sorted by release (NewInstance normalizes),
-	// so it is streamed by nextRelease rather than queued as heap events.
+	// so it is registered now and streamed by nextRelease rather than
+	// queued as heap events.
 	for _, task := range inst.Tasks {
-		e.addTask(task)
+		e.drv.Register(task)
 	}
-	e.initial = len(e.tasks)
-	e.view = engineView{e: e}
+	e.initial = len(inst.Tasks)
 	return e
-}
-
-func (e *Engine) addTask(task core.Task) int {
-	idx := len(e.tasks)
-	task.ID = core.TaskID(idx)
-	e.tasks = append(e.tasks, task)
-	e.records = append(e.records, core.Record{Task: task.ID, Slave: -1, Release: task.Release})
-	e.sent = append(e.sent, false)
-	e.done = append(e.done, false)
-	e.lost = append(e.lost, false)
-	return idx
 }
 
 // InjectTask adds a task mid-run. Its release time must not precede the
@@ -229,12 +203,12 @@ func (e *Engine) InjectTask(task core.Task) core.TaskID {
 	if task.Release < e.now {
 		panic(fmt.Sprintf("sim: injecting task released at %v before now %v", task.Release, e.now))
 	}
-	idx := e.addTask(task)
+	id := e.drv.Register(task)
 	// Injected tasks release through the heap; ties with streamed initial
 	// releases resolve in favor of the stream (see peekNext), matching
 	// the old all-in-heap insertion order.
-	e.events.Push(event{Time: task.Release, Kind: evRelease, Task: int32(idx)})
-	return core.TaskID(idx)
+	e.events.Push(event{Time: task.Release, Kind: evRelease, Task: int32(id)})
+	return id
 }
 
 // peekNext returns the next event in the merged order of the queued
@@ -246,7 +220,7 @@ func (e *Engine) InjectTask(task core.Task) core.TaskID {
 func (e *Engine) peekNext() (event, bool) {
 	top, ok := e.events.Peek()
 	if e.nextRelease < e.initial {
-		rel := e.tasks[e.nextRelease].Release
+		rel := e.drv.tasks[e.nextRelease].Release
 		if !ok || rel <= top.Time {
 			return event{Time: rel, Kind: evRelease, Task: int32(e.nextRelease)}, true
 		}
@@ -258,41 +232,39 @@ func (e *Engine) peekNext() (event, bool) {
 func (e *Engine) Now() float64 { return e.now }
 
 // Platform returns the platform under simulation.
-func (e *Engine) Platform() core.Platform { return e.pl }
+func (e *Engine) Platform() core.Platform { return e.drv.pl }
 
 // TaskCount returns the number of tasks known so far.
-func (e *Engine) TaskCount() int { return len(e.tasks) }
+func (e *Engine) TaskCount() int { return len(e.drv.tasks) }
 
 // Started reports whether the algorithm has begun sending the task, and
 // if so to which slave and when. This is the observation primitive used by
 // the Section-3 adversaries ("we check whether A made a decision
 // concerning the scheduling of i, and which one").
 func (e *Engine) Started(task core.TaskID) (slave int, at float64, ok bool) {
-	if int(task) >= len(e.records) || !e.sent[task] {
+	if int(task) >= len(e.drv.records) || !e.drv.sent[task] {
 		return 0, 0, false
 	}
-	r := e.records[task]
+	r := e.drv.records[task]
 	return r.Slave, r.SendStart, true
 }
 
 // Completed reports whether the task has finished computing.
 func (e *Engine) Completed(task core.TaskID) bool {
-	return int(task) < len(e.done) && e.done[task]
+	return int(task) < len(e.drv.done) && e.drv.done[task]
 }
 
-// processEvent applies one event to the ground-truth state.
+// processEvent applies one event to the ground-truth state and tells the
+// master what it observes.
 func (e *Engine) processEvent(ev event) {
 	e.now = ev.Time
 	task := int(ev.Task)
 	switch ev.Kind {
 	case evRelease:
-		e.pending.Push(task)
-		e.released++
+		e.drv.Release(core.TaskID(task))
 	case evSendComplete:
 		j := int(ev.Dest)
-		e.records[task].Arrive = e.now
-		e.obsComm[j].observe(e.now - e.records[task].SendStart)
-		e.model.Arrived(j, task, e.now)
+		e.drv.MarkArrived(core.TaskID(task), j, e.now)
 		s := &e.slaves[j]
 		if s.computing < 0 {
 			e.startCompute(j, task)
@@ -305,11 +277,7 @@ func (e *Engine) processEvent(ev event) {
 		if s.computing != task {
 			panic(fmt.Sprintf("sim: slave %d completed task %d while computing %d", j, task, s.computing))
 		}
-		e.records[task].Complete = e.now
-		e.done[task] = true
-		e.completed++
-		e.obsComp[j].observe(e.now - e.records[task].Start)
-		e.model.Completed(j, task, e.now)
+		e.drv.MarkCompleted(core.TaskID(task), j, e.drv.records[task].Start, e.now)
 		s.computing = -1
 		if s.queue.Len() > 0 {
 			e.startCompute(j, s.queue.PopFront())
@@ -321,10 +289,10 @@ func (e *Engine) processEvent(ev event) {
 
 func (e *Engine) startCompute(j, task int) {
 	s := &e.slaves[j]
-	dur := e.actual.P[j] * e.tasks[task].EffComp()
+	dur := e.actual.P[j] * e.drv.tasks[task].EffComp()
 	s.computing = task
 	s.busyUntil = e.now + dur
-	e.records[task].Start = e.now
+	e.drv.MarkStarted(core.TaskID(task), e.now)
 	e.events.Push(event{Time: s.busyUntil, Kind: evComputeComplete, Task: int32(task), Dest: int32(j)})
 }
 
@@ -332,8 +300,8 @@ func (e *Engine) startCompute(j, task int) {
 // is free. Returns after the scheduler sends (port busy again), waits,
 // idles, or commits a halting violation (dead-slave dispatch).
 func (e *Engine) consult() {
-	for e.halt == nil && e.portFree <= e.now && e.pending.Len() > 0 {
-		act := e.sched.Decide(&e.view)
+	for e.halt == nil && e.portFree <= e.now && e.drv.pending.Len() > 0 {
+		act := e.sched.Decide(&e.drv.view)
 		switch act.Kind {
 		case ActSend:
 			e.startSend(act.Task, act.Slave)
@@ -360,40 +328,22 @@ func (e *Engine) consult() {
 }
 
 func (e *Engine) startSend(task core.TaskID, j int) {
-	idx := int(task)
-	if idx < 0 || idx >= len(e.tasks) {
-		panic(fmt.Sprintf("sim: scheduler %s sent unknown task %d", e.sched.Name(), task))
-	}
-	if j < 0 || j >= e.pl.M() {
-		panic(fmt.Sprintf("sim: scheduler %s used unknown slave %d", e.sched.Name(), j))
-	}
-	if e.sent[idx] {
-		panic(fmt.Sprintf("sim: scheduler %s re-sent task %d", e.sched.Name(), task))
-	}
-	pos := e.pending.IndexOf(idx)
-	if pos < 0 {
-		panic(fmt.Sprintf("sim: scheduler %s sent unreleased task %d at %v", e.sched.Name(), task, e.now))
-	}
-	if !e.alive[j] {
+	pos := e.drv.checkSend(e.sched.Name(), task, j)
+	if !e.drv.alive[j] {
 		// A dead or departed target is an observable runtime condition, not
 		// a programming error: surface it as a typed validation error and
 		// halt the simulation instead of panicking or silently dropping.
 		e.halt = &DeadSlaveError{Scheduler: e.sched.Name(), Task: task, Slave: j, Time: e.now, Departed: e.departed[j]}
 		return
 	}
-	e.pending.RemoveAt(pos)
-	e.sent[idx] = true
-	dur := e.actual.C[j] * e.tasks[idx].EffComm()
-	e.records[idx].Slave = j
-	e.records[idx].SendStart = e.now
-	arrive := e.now + dur
+	// The master predicts arrival with the nominal link cost; the actual
+	// arrival (evSendComplete) corrects the bookkeeping.
+	e.drv.send(pos, j)
+	arrive := e.now + e.actual.C[j]*e.drv.tasks[task].EffComm()
 	if !e.unboundedPort {
 		e.portFree = arrive
 	}
-	// The master predicts arrival with the nominal link cost; the actual
-	// arrival (evSendComplete) corrects the bookkeeping.
-	e.model.Assign(j, idx, e.now+e.pl.C[j])
-	e.events.Push(event{Time: arrive, Kind: evSendComplete, Task: int32(idx), Dest: int32(j)})
+	e.events.Push(event{Time: arrive, Kind: evSendComplete, Task: int32(task), Dest: int32(j)})
 }
 
 // step drains every event at the next event time, then consults the
@@ -402,11 +352,12 @@ func (e *Engine) step() bool {
 	if e.halt != nil {
 		return false
 	}
+	tasks := e.drv.tasks
 	top, hasTop := e.events.Peek()
 	var t float64
 	switch {
 	case e.nextRelease < e.initial:
-		t = e.tasks[e.nextRelease].Release
+		t = tasks[e.nextRelease].Release
 		if hasTop && top.Time < t {
 			t = top.Time
 		}
@@ -418,10 +369,9 @@ func (e *Engine) step() bool {
 	// Streamed initial releases at t precede every queued event at t
 	// (evRelease is the lowest kind and initial tasks predate all queued
 	// events of that kind), so the whole batch drains first, inline.
-	for e.nextRelease < e.initial && e.tasks[e.nextRelease].Release == t {
+	for e.nextRelease < e.initial && tasks[e.nextRelease].Release == t {
 		e.now = t
-		e.pending.Push(e.nextRelease)
-		e.released++
+		e.drv.Release(core.TaskID(e.nextRelease))
 		e.nextRelease++
 	}
 	for hasTop && top.Time == t {
@@ -459,9 +409,10 @@ func (e *Engine) Run() (core.Schedule, error) {
 	if e.halt != nil {
 		return core.Schedule{}, e.halt
 	}
-	if e.completed != len(e.tasks)-e.lostCount {
+	d := e.drv
+	if d.completed != len(d.tasks)-d.lost {
 		return core.Schedule{}, fmt.Errorf("sim: scheduler %s completed %d of %d tasks (idle deadlock at t=%v with %d pending)",
-			e.sched.Name(), e.completed, len(e.tasks)-e.lostCount, e.now, e.pending.Len())
+			e.sched.Name(), d.completed, len(d.tasks)-d.lost, e.now, d.pending.Len())
 	}
 	return e.Snapshot(), nil
 }
@@ -469,10 +420,7 @@ func (e *Engine) Run() (core.Schedule, error) {
 // Snapshot assembles the schedule from the records produced so far. It is
 // primarily useful after Run; during a run, records of unfinished tasks
 // have zero fields.
-func (e *Engine) Snapshot() core.Schedule {
-	inst := core.Instance{Platform: e.pl.Clone(), Tasks: append([]core.Task(nil), e.tasks...)}
-	return core.Schedule{Instance: inst, Records: append([]core.Record(nil), e.records...)}
-}
+func (e *Engine) Snapshot() core.Schedule { return e.drv.Schedule() }
 
 // Simulate is the one-call convenience wrapper: build, run, validate.
 func Simulate(pl core.Platform, sched Scheduler, tasks []core.Task) (core.Schedule, error) {
@@ -499,66 +447,3 @@ func SimulateMultiport(pl core.Platform, sched Scheduler, tasks []core.Task) (co
 	}
 	return s, nil
 }
-
-// engineView is the Engine-backed View implementation.
-type engineView struct {
-	e *Engine
-}
-
-// Now returns the current time.
-func (v *engineView) Now() float64 { return v.e.now }
-
-// M returns the number of slaves.
-func (v *engineView) M() int { return v.e.pl.M() }
-
-// Comm returns the nominal communication time c_j.
-func (v *engineView) Comm(j int) float64 { return v.e.pl.C[j] }
-
-// Comp returns the nominal computation time p_j.
-func (v *engineView) Comp(j int) float64 { return v.e.pl.P[j] }
-
-// PendingCount returns the number of released, unsent tasks.
-func (v *engineView) PendingCount() int { return v.e.pending.Len() }
-
-// PendingAt returns the i-th pending task in release (FIFO) order.
-func (v *engineView) PendingAt(i int) core.TaskID { return core.TaskID(v.e.pending.At(i)) }
-
-// FirstPending returns the oldest pending task.
-func (v *engineView) FirstPending() (core.TaskID, bool) {
-	t, ok := v.e.pending.Front()
-	return core.TaskID(t), ok
-}
-
-// Release returns the release time of a task.
-func (v *engineView) Release(task core.TaskID) float64 { return v.e.tasks[task].Release }
-
-// Outstanding returns the number of tasks assigned to slave j and not yet
-// completed (in flight, queued, or computing).
-func (v *engineView) Outstanding(j int) int { return v.e.model.Outstanding(j) }
-
-// ReadyEstimate returns the master's nominal-cost estimate of when slave j
-// will drain its outstanding backlog.
-func (v *engineView) ReadyEstimate(j int) float64 { return v.e.model.Ready(j, v.e.pl.P[j]) }
-
-// PredictFinish estimates the completion time of a task sent to slave j
-// right now, under nominal costs: the send occupies [now, now+c_j], the
-// computation starts when both the task has arrived and the slave is
-// free. The max is spelled out (finite operands) — this runs once per
-// slave per list-scheduler decision.
-func (v *engineView) PredictFinish(j int) float64 {
-	start := v.e.now + v.e.pl.C[j]
-	if ready := v.ReadyEstimate(j); ready > start {
-		start = ready
-	}
-	return start + v.e.pl.P[j]
-}
-
-// ReleasedCount returns how many tasks have been released so far: the
-// count of processed release events. The engine drains every event at a
-// timestamp before consulting the scheduler, so by the time any View
-// method runs, each task with Release ≤ now has been counted — the
-// incremental counter replaces what used to be an O(n) scan per call.
-func (v *engineView) ReleasedCount() int { return v.e.released }
-
-// CompletedCount returns how many tasks have finished.
-func (v *engineView) CompletedCount() int { return v.e.completed }

@@ -4,9 +4,9 @@ package sim
 // it records its own dispatch decisions, the actual send durations (the
 // master experiences its own port), and completion notifications, and
 // estimates slave readiness using nominal computation times for
-// everything still outstanding. Both the discrete-event engine and the
-// message-passing emulation (internal/mpiexp) keep their scheduler-facing
-// state in a Ledger, which is what makes the two substrates agree
+// everything still outstanding. It lives in the Driver, so every
+// substrate (the engine, internal/mpiexp, internal/live) estimates
+// readiness with the same code and the substrates agree
 // decision-for-decision.
 //
 // Ready used to re-fold the whole outstanding backlog on every call;
