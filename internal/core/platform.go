@@ -73,8 +73,8 @@ func NewPlatform(c, p []float64) Platform {
 }
 
 // ValidCost reports whether x can be a slave's communication or
-// computation time: positive and finite. NaN fails the test, unlike
-// x <= 0, which NaN passes.
+// computation time: positive and finite. NaN is not > 0, so it fails; a
+// check written as x <= 0 would let NaN through.
 func ValidCost(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // M returns the number of slaves.

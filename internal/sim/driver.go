@@ -240,7 +240,8 @@ func (d *Driver) RetractNewest(n int) []core.Task {
 	return out
 }
 
-// Admitted returns the number of tasks admitted so far.
+// Admitted returns the number of tasks registered so far, released or
+// not.
 func (d *Driver) Admitted() int { return len(d.tasks) }
 
 // Retracted returns the number of tasks retracted by RetractNewest.
@@ -252,7 +253,7 @@ func (d *Driver) Done() int { return d.completed }
 // PendingCount returns the number of released, unsent tasks.
 func (d *Driver) PendingCount() int { return d.pending.Len() }
 
-// Task returns an admitted task by ID.
+// Task returns a registered task by ID.
 func (d *Driver) Task(id core.TaskID) core.Task { return d.tasks[id] }
 
 // Platform returns the nominal platform the master believes in.
