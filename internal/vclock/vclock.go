@@ -1,10 +1,16 @@
 // Package vclock is a deterministic virtual-time kernel for goroutine
 // logical processes. Processes run one at a time under a cooperative
-// scheduler: when the running process blocks (Sleep, Recv) control
-// returns to the kernel, which resumes the next runnable process, and —
-// when none is runnable — advances the virtual clock to the next timer or
-// message delivery. Runs are bit-for-bit reproducible: no wall-clock time
-// or goroutine scheduling nondeterminism can leak into results.
+// scheduler. When the running process blocks (Sleep, Recv), its own
+// goroutine runs the scheduling step: it picks the next runnable process
+// and resumes it directly, and when none is runnable it first advances
+// the virtual clock to the next timer or message delivery. A process
+// that picks itself carries on without a goroutine switch. Runs are
+// bit-for-bit reproducible: no wall-clock time or goroutine scheduling
+// nondeterminism can leak into results.
+//
+// The resume order is fixed: processes are swept in id order, a new
+// sweep starts after any sweep that ran something, and the clock moves
+// only when a full sweep finds nothing ready.
 //
 // The kernel provides timed message delivery (Post) and a per-process
 // mailbox with deadline-bounded receive, which is exactly what the
@@ -12,7 +18,6 @@
 package vclock
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -47,9 +52,14 @@ type Proc struct {
 	id   int
 	name string
 
-	state   procState
-	wakeAt  float64
+	state  procState
+	wakeAt float64
+	// mailbox holds delivered messages; the unread ones are
+	// mailbox[head:]. Reading advances head instead of reslicing, and
+	// the buffer is rewound when it drains or compacted once head passes
+	// half its length, so a long-lived mailbox reuses one array.
 	mailbox []Message
+	head    int
 	resume  chan struct{}
 	err     error
 }
@@ -94,14 +104,10 @@ func (p *Proc) Post(dst int, msg Message, delay float64) {
 	msg.seq = p.c.seq
 	p.c.seq++
 	if msg.deliverAt <= p.c.now {
-		d := p.c.procs[dst]
-		d.mailbox = append(d.mailbox, msg)
-		if d.state == receiving {
-			d.state = ready
-		}
+		p.c.procs[dst].deliver(msg)
 		return
 	}
-	heap.Push(&p.c.mail, msg2dst{msg: msg, dst: dst})
+	p.c.mail.push(msg2dst{msg: msg, dst: dst})
 }
 
 // Recv blocks until a message is available and returns the oldest one
@@ -119,10 +125,8 @@ func (p *Proc) Recv() Message {
 // message was received. A deadline at or before now polls the mailbox.
 func (p *Proc) RecvDeadline(deadline float64) (Message, bool) {
 	for {
-		if len(p.mailbox) > 0 {
-			msg := p.mailbox[0]
-			p.mailbox = p.mailbox[1:]
-			return msg, true
+		if p.unread() > 0 {
+			return p.take(), true
 		}
 		if deadline <= p.c.now {
 			return Message{}, false
@@ -130,15 +134,56 @@ func (p *Proc) RecvDeadline(deadline float64) (Message, bool) {
 		p.state = receiving
 		p.wakeAt = deadline
 		p.yield()
-		if len(p.mailbox) == 0 && p.c.now >= deadline {
+		if p.unread() == 0 && p.c.now >= deadline {
 			return Message{}, false
 		}
 	}
 }
 
-// yield hands control back to the kernel until the process is resumed.
+// deliver appends a message to the mailbox and wakes a blocked receiver.
+func (p *Proc) deliver(msg Message) {
+	p.mailbox = append(p.mailbox, msg)
+	if p.state == receiving {
+		p.state = ready
+	}
+}
+
+// unread returns the number of delivered, unread messages.
+func (p *Proc) unread() int { return len(p.mailbox) - p.head }
+
+// take removes and returns the oldest unread message.
+func (p *Proc) take() Message {
+	msg := p.mailbox[p.head]
+	p.mailbox[p.head] = Message{} // drop the payload reference
+	p.head++
+	switch {
+	case p.head == len(p.mailbox):
+		p.mailbox = p.mailbox[:0]
+		p.head = 0
+	case 2*p.head > len(p.mailbox):
+		n := copy(p.mailbox, p.mailbox[p.head:])
+		clear(p.mailbox[n:])
+		p.mailbox = p.mailbox[:n]
+		p.head = 0
+	}
+	return msg
+}
+
+// yield blocks the process: its goroutine runs the scheduling step and
+// hands control straight to the next process. When that is the process
+// itself, it carries on without a goroutine switch.
 func (p *Proc) yield() {
-	p.c.yielded <- p
+	next, err := p.c.next()
+	if next == p {
+		return
+	}
+	if next == nil {
+		// The run is over with p still blocked: a deadlock. p stays
+		// parked, as every other blocked process does.
+		p.c.end <- err
+	} else {
+		next.resume <- struct{}{}
+	}
 	<-p.resume
 }
 
@@ -148,23 +193,54 @@ type msg2dst struct {
 	dst int
 }
 
+// mailHeap is a binary min-heap of in-flight messages ordered by
+// (deliverAt, seq). Every seq is unique, so the order is total and the
+// pop sequence does not depend on the heap's internal layout.
 type mailHeap []msg2dst
 
-func (h mailHeap) Len() int { return len(h) }
-func (h mailHeap) Less(i, j int) bool {
+func (h mailHeap) less(i, j int) bool {
 	if h[i].msg.deliverAt != h[j].msg.deliverAt {
 		return h[i].msg.deliverAt < h[j].msg.deliverAt
 	}
 	return h[i].msg.seq < h[j].msg.seq
 }
-func (h mailHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *mailHeap) Push(x any)   { *h = append(*h, x.(msg2dst)) }
-func (h *mailHeap) Pop() any {
-	old := *h
-	n := len(old)
-	v := old[n-1]
-	*h = old[:n-1]
-	return v
+
+func (h *mailHeap) push(x msg2dst) {
+	*h = append(*h, x)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !q.less(i, parent) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
+	}
+}
+
+func (h *mailHeap) pop() msg2dst {
+	q := *h
+	top := q[0]
+	last := len(q) - 1
+	q[0] = q[last]
+	q[last] = msg2dst{} // drop the payload reference
+	q = q[:last]
+	for i := 0; ; {
+		least := i
+		if l := 2*i + 1; l < last && q.less(l, least) {
+			least = l
+		}
+		if r := 2*i + 2; r < last && q.less(r, least) {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		q[i], q[least] = q[least], q[i]
+		i = least
+	}
+	*h = q
+	return top
 }
 
 // Cluster is a set of logical processes sharing one virtual clock.
@@ -173,13 +249,19 @@ type Cluster struct {
 	procs   []*Proc
 	mail    mailHeap
 	seq     int
-	yielded chan *Proc
 	started bool
+
+	// Scheduling-step state, touched only by the goroutine that holds
+	// control: the sweep position and whether the current sweep has
+	// resumed anyone.
+	cursor int
+	swept  bool
+	end    chan error // the outcome of the run, sent once
 }
 
 // New creates an empty cluster at time 0.
 func New() *Cluster {
-	return &Cluster{yielded: make(chan *Proc)}
+	return &Cluster{end: make(chan error, 1)}
 }
 
 // Now returns the current virtual time.
@@ -206,7 +288,15 @@ func (c *Cluster) Spawn(name string, fn func(p *Proc)) int {
 				p.err = fmt.Errorf("vclock: process %q panicked: %v", p.name, r)
 			}
 			p.state = done
-			c.yielded <- p
+			if p.err != nil {
+				c.end <- p.err
+				return
+			}
+			if next, err := c.next(); next != nil {
+				next.resume <- struct{}{}
+			} else {
+				c.end <- err
+			}
 		}()
 		fn(p)
 	}()
@@ -215,69 +305,86 @@ func (c *Cluster) Spawn(name string, fn func(p *Proc)) int {
 
 // Run drives the cluster until every process finishes. It returns an
 // error if a process panicked or if the system deadlocks (processes
-// blocked forever with no pending timers or messages).
+// blocked forever with no pending timers or messages). Run only starts
+// the first process; from then on each blocking process schedules its
+// successor, and Run waits for the outcome.
 func (c *Cluster) Run() error {
 	c.started = true
+	next, err := c.next()
+	if next == nil {
+		return err
+	}
+	next.resume <- struct{}{}
+	return <-c.end
+}
+
+// next is the scheduling step. It resumes ready processes in id order,
+// continuing the current sweep and starting a new one after any sweep
+// that resumed someone; when a full sweep finds nobody ready it advances
+// the clock. It marks the returned process running. A nil process means
+// the run is over, with a nil error when every process finished.
+func (c *Cluster) next() (*Proc, error) {
 	for {
-		// Resume every ready process, one at a time, in id order.
-		progress := true
-		for progress {
-			progress = false
-			for _, p := range c.procs {
-				if p.state != ready {
-					continue
-				}
+		for c.cursor < len(c.procs) {
+			p := c.procs[c.cursor]
+			c.cursor++
+			if p.state == ready {
 				p.state = running
-				p.resume <- struct{}{}
-				<-c.yielded
-				if p.err != nil {
-					return p.err
-				}
-				progress = true
+				c.swept = true
+				return p, nil
 			}
 		}
+		c.cursor = 0
+		if c.swept {
+			c.swept = false
+			continue
+		}
+		if over, err := c.advance(); over {
+			return nil, err
+		}
+	}
+}
 
-		// Nothing runnable: advance the clock to the next timer or
-		// delivery.
-		next := math.Inf(1)
-		for _, p := range c.procs {
-			if p.state == sleeping || p.state == receiving {
-				if p.wakeAt < next {
-					next = p.wakeAt
-				}
-			}
-		}
-		if len(c.mail) > 0 && c.mail[0].msg.deliverAt < next {
-			next = c.mail[0].msg.deliverAt
-		}
-		if math.IsInf(next, 1) {
-			remaining := c.blockedNames()
-			if len(remaining) == 0 {
-				return nil // all done
-			}
-			return fmt.Errorf("vclock: deadlock at t=%v, blocked: %v", c.now, remaining)
-		}
-		if next < c.now {
-			next = c.now
-		}
-		c.now = next
-
-		// Deliver all mail due now; wake receivers.
-		for len(c.mail) > 0 && c.mail[0].msg.deliverAt <= c.now {
-			d := heap.Pop(&c.mail).(msg2dst)
-			dst := c.procs[d.dst]
-			dst.mailbox = append(dst.mailbox, d.msg)
-			if dst.state == receiving {
-				dst.state = ready
-			}
-		}
-		// Wake expired sleepers and receive deadlines.
-		for _, p := range c.procs {
-			if (p.state == sleeping || p.state == receiving) && p.wakeAt <= c.now {
-				p.state = ready
+// advance moves the clock to the next timer or delivery, delivers the
+// mail due then and wakes expired sleepers and receive deadlines. It
+// reports true when nothing is left to wait for, with the deadlock error
+// if some process is still blocked.
+func (c *Cluster) advance() (bool, error) {
+	next := math.Inf(1)
+	for _, p := range c.procs {
+		if p.state == sleeping || p.state == receiving {
+			if p.wakeAt < next {
+				next = p.wakeAt
 			}
 		}
 	}
+	if len(c.mail) > 0 && c.mail[0].msg.deliverAt < next {
+		next = c.mail[0].msg.deliverAt
+	}
+	if math.IsInf(next, 1) {
+		remaining := c.blockedNames()
+		if len(remaining) == 0 {
+			return true, nil // all done
+		}
+		return true, fmt.Errorf("vclock: deadlock at t=%v, blocked: %v", c.now, remaining)
+	}
+	if next < c.now {
+		next = c.now
+	}
+	c.now = next
+
+	// Deliver all mail due now; wake receivers.
+	for len(c.mail) > 0 && c.mail[0].msg.deliverAt <= c.now {
+		d := c.mail.pop()
+		c.procs[d.dst].deliver(d.msg)
+	}
+	// Wake expired sleepers and receive deadlines.
+	for _, p := range c.procs {
+		if (p.state == sleeping || p.state == receiving) && p.wakeAt <= c.now {
+			p.state = ready
+		}
+	}
+	return false, nil
 }
 
 func (c *Cluster) blockedNames() []string {
@@ -285,7 +392,7 @@ func (c *Cluster) blockedNames() []string {
 	for _, p := range c.procs {
 		if p.state != done {
 			names = append(names, fmt.Sprintf("%s(%d) state=%d wakeAt=%v mailbox=%d",
-				p.name, p.id, p.state, p.wakeAt, len(p.mailbox)))
+				p.name, p.id, p.state, p.wakeAt, p.unread()))
 		}
 	}
 	sort.Strings(names)
