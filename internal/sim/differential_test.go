@@ -8,7 +8,9 @@ package sim
 // sim-vs-live conformance suite).
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -29,8 +31,12 @@ func refReady(lastSync float64, units []ledgerUnit, nominalComp float64) float64
 
 // TestLedgerReadyDifferential drives a random mutation stream through
 // the memoized Ledger and checks every Ready answer — interleaved with
-// the mutations, hitting both memo and recompute paths — against the
-// reference fold, bit for bit.
+// the mutations, hitting the memo, its one-step extensions and the
+// refold — against the reference fold, bit for bit. The stream mixes the
+// one-port pattern (the newest unit arrives, the oldest completes) with
+// the unbounded-port one (any unit may arrive or complete). A reference
+// model of each backlog, kept with the pre-refactor splice semantics,
+// checks the ledger's live backlog as well.
 func TestLedgerReadyDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 30; trial++ {
@@ -39,34 +45,54 @@ func TestLedgerReadyDifferential(t *testing.T) {
 		comp := []float64{1.5, 2.25, 0.75, 3}
 		now := 0.0
 		nextTask := 0
-		inFlight := make([][]int, m) // assigned tasks per slave, dispatch order
+		ref := make([][]ledgerUnit, m) // reference backlog per slave, dispatch order
+		refSync := make([]float64, m)
 		for op := 0; op < 400; op++ {
 			j := rng.Intn(m)
 			now += rng.Float64()
-			switch k := rng.Intn(10); {
+			n := len(ref[j])
+			switch k := rng.Intn(12); {
 			case k < 4: // assign
-				l.Assign(j, nextTask, now+rng.Float64())
-				inFlight[j] = append(inFlight[j], nextTask)
+				arrival := now + rng.Float64()
+				l.Assign(j, nextTask, arrival)
+				ref[j] = append(ref[j], ledgerUnit{task: nextTask, arrival: arrival})
 				nextTask++
-			case k < 6 && len(inFlight[j]) > 0: // arrival corrects the newest unit
-				task := inFlight[j][len(inFlight[j])-1]
-				l.Arrived(j, task, now)
-			case k < 8 && len(inFlight[j]) > 0: // completion removes the oldest
-				task := inFlight[j][0]
-				inFlight[j] = inFlight[j][1:]
-				l.Completed(j, task, now)
-			case k < 9: // sync
+			case k < 6 && n > 0: // arrival corrects the newest unit
+				l.Arrived(j, ref[j][n-1].task, now)
+				ref[j][n-1].arrival = now
+			case k < 7 && n > 0: // arrival of an older unit (unbounded port)
+				i := rng.Intn(n)
+				l.Arrived(j, ref[j][i].task, now)
+				ref[j][i].arrival = now
+			case k < 9 && n > 0: // completion removes the oldest
+				l.Completed(j, ref[j][0].task, now)
+				ref[j] = ref[j][1:]
+				refSync[j] = math.Max(refSync[j], now)
+			case k < 10 && n > 0: // out-of-order completion (unbounded port)
+				i := rng.Intn(n)
+				l.Completed(j, ref[j][i].task, now)
+				ref[j] = append(ref[j][:i:i], ref[j][i+1:]...)
+				refSync[j] = math.Max(refSync[j], now)
+			case k < 11: // sync
 				l.Sync(j, now)
+				refSync[j] = math.Max(refSync[j], now)
 			default: // fail clears the backlog
 				l.Fail(j, now)
-				inFlight[j] = inFlight[j][:0]
+				ref[j] = ref[j][:0]
+				refSync[j] = math.Max(refSync[j], now)
 			}
 			// Query a random subset of slaves — repeated queries between
 			// mutations exercise the memo path.
 			for q := 0; q < 1+rng.Intn(3); q++ {
 				qj := rng.Intn(m)
+				if got := l.backlog(qj); !reflect.DeepEqual(append([]ledgerUnit{}, got...), append([]ledgerUnit{}, ref[qj]...)) {
+					t.Fatalf("trial %d op %d: backlog(%d) = %v, reference %v", trial, op, qj, got, ref[qj])
+				}
+				if l.Outstanding(qj) != len(ref[qj]) {
+					t.Fatalf("trial %d op %d: Outstanding(%d) = %d, want %d", trial, op, qj, l.Outstanding(qj), len(ref[qj]))
+				}
 				got := l.Ready(qj, comp[qj])
-				want := refReady(l.lastSync[qj], l.units[qj], comp[qj])
+				want := refReady(refSync[qj], l.backlog(qj), comp[qj])
 				if got != want {
 					t.Fatalf("trial %d op %d: Ready(%d) = %v, reference fold = %v", trial, op, qj, got, want)
 				}
@@ -74,6 +100,44 @@ func TestLedgerReadyDifferential(t *testing.T) {
 					t.Fatalf("trial %d op %d: memoized Ready(%d) = %v after %v", trial, op, qj, again, got)
 				}
 			}
+		}
+	}
+}
+
+// TestQueueCapacityBounded pins the compaction of the two head-indexed
+// structures: at a constant occupancy k, 10⁵ push/pop cycles (for the
+// ledger, assign/complete) keep the backing array within 2k plus a small
+// constant, instead of growing with every value that passed through.
+func TestQueueCapacityBounded(t *testing.T) {
+	const cycles = 100_000
+	for _, k := range []int{1, 7, 100, 188, 1000} {
+		var q taskFIFO
+		for i := 0; i < k; i++ {
+			q.Push(i)
+		}
+		for i := k; i < k+cycles; i++ {
+			q.Push(i)
+			if got := q.PopFront(); got != i-k {
+				t.Fatalf("k=%d: PopFront = %d, want %d", k, got, i-k)
+			}
+			if c := cap(q.buf); c > 2*k+8 {
+				t.Fatalf("k=%d cycle %d: taskFIFO capacity %d > 2k+8", k, i-k, c)
+			}
+		}
+
+		l := NewLedger(1)
+		for i := 0; i < k; i++ {
+			l.Assign(0, i, float64(i))
+		}
+		for i := k; i < k+cycles; i++ {
+			l.Assign(0, i, float64(i))
+			l.Completed(0, i-k, float64(i))
+			if c := cap(l.slaves[0].units); c > 2*k+8 {
+				t.Fatalf("k=%d cycle %d: ledger backlog capacity %d > 2k+8", k, i-k, c)
+			}
+		}
+		if l.Outstanding(0) != k {
+			t.Fatalf("k=%d: %d outstanding after the cycles", k, l.Outstanding(0))
 		}
 	}
 }

@@ -5,8 +5,12 @@ package sim
 // []int on every dequeue, which turned each dispatch into an O(queue)
 // memmove (and, for the slave queues, let append reallocate behind the
 // advancing slice header). Here PopFront is O(1): the head index moves
-// forward and the backing array is recycled whenever the queue drains,
-// so a run's queue traffic settles into zero allocations after warm-up.
+// forward, and the backing array is compacted once the head passes half
+// of it (rewound outright when the queue drains). A full array is
+// compacted in place while a quarter of it is dead, and otherwise
+// replaced by one of twice the queue length, so the array stays within
+// about twice the queued values however many pass through, and a run's
+// queue traffic settles into zero allocations after warm-up.
 //
 // Removal order is part of the determinism contract: RemoveAt preserves
 // the relative order of the survivors exactly as the old slice-splice
@@ -41,7 +45,19 @@ func (q *taskFIFO) Front() (int, bool) {
 }
 
 // Push appends a value.
-func (q *taskFIFO) Push(v int) { q.buf = append(q.buf, v) }
+func (q *taskFIFO) Push(v int) {
+	if len(q.buf) == cap(q.buf) {
+		if n := q.Len(); 4*n > 3*cap(q.buf) {
+			buf := make([]int, n, 2*n+4)
+			copy(buf, q.buf[q.head:])
+			q.buf = buf
+		} else {
+			q.buf = q.buf[:copy(q.buf, q.buf[q.head:])]
+		}
+		q.head = 0
+	}
+	q.buf = append(q.buf, v)
+}
 
 // PopFront removes and returns the oldest value. It panics on an empty
 // queue (a programming error in the engine, not a runtime condition).
@@ -89,11 +105,13 @@ func (q *taskFIFO) Reset() {
 	q.head = 0
 }
 
-// recycle rewinds the backing array once the queue drains, so the next
-// Push reuses the space instead of growing the slice forever.
+// recycle moves the queued values to the front of the backing array
+// once the head passes half of it, so the next Push reuses the space
+// instead of growing the slice forever. Each move copies fewer values
+// than were popped since the last one.
 func (q *taskFIFO) recycle() {
-	if q.head == len(q.buf) {
-		q.buf = q.buf[:0]
-		q.head = 0
+	if 2*q.head > len(q.buf) {
+		n := copy(q.buf, q.buf[q.head:])
+		q.buf, q.head = q.buf[:n], 0
 	}
 }

@@ -9,21 +9,41 @@ package sim
 // readiness with the same code and the substrates agree
 // decision-for-decision.
 //
-// Ready used to re-fold the whole outstanding backlog on every call;
-// list schedulers call it for every slave on every decision, which made
-// dispatch O(m·backlog). The estimate is now memoized per slave and
-// invalidated only by the mutations that can change it, so between state
-// changes every Ready call is O(1) and a decision touches only the
-// backlogs that actually moved. The memo stores the value the fold
-// would produce — recomputation runs the identical float operations —
-// so cached and uncached runs are bit-identical by construction (pinned
-// by the differential suite).
+// The one-port pattern's mutations each cost O(1):
+//
+//   - Each slave's backlog is head-indexed. Under the one-port model a
+//     slave completes its tasks in dispatch order, so Completed of the
+//     oldest unit advances the head; an out-of-order completion (the
+//     unbounded-port model) falls back to a scan and splice. The backlog
+//     is compacted once the head passes half its length, so its array
+//     stays within about twice the live backlog.
+//   - Ready is memoized as a prefix fold per slave: t starts at the last
+//     sync and each unit, in dispatch order, takes t = max(t, arrival) +
+//     nominalComp. Assign extends the memo by one step, and Arrived on the
+//     newest unit redoes that step from the saved value before it. A
+//     completion, failure, sync, an arrival of an older unit or a new
+//     nominalComp invalidates the memo, and the next Ready refolds the
+//     backlog. Either way the memo holds the value the full fold returns,
+//     from the same float operations in the same order, so memoized and
+//     unmemoized runs are bit-identical (pinned by the differential
+//     suite).
 type Ledger struct {
-	units    [][]ledgerUnit // per slave, in dispatch order
-	lastSync []float64      // latest time the slave was known idle
-	ready    []float64      // memoized Ready value per slave
-	readyFor []float64      // the nominalComp each memo was computed with
-	fresh    []bool         // memo validity
+	slaves []slaveBook
+}
+
+// slaveBook is the ledger's state for one slave.
+type slaveBook struct {
+	units    []ledgerUnit // outstanding units are units[head:], in dispatch order
+	head     int
+	lastSync float64 // latest time the slave was known idle
+
+	// The Ready memo: ready is the fold over the outstanding units and
+	// prev the fold over all of them but the newest, both charging
+	// readyFor per unit. They are valid only while fresh.
+	ready    float64
+	prev     float64
+	readyFor float64
+	fresh    bool
 }
 
 // ledgerUnit is one outstanding task: the arrival time is actual once the
@@ -35,33 +55,37 @@ type ledgerUnit struct {
 
 // NewLedger creates bookkeeping for m slaves.
 func NewLedger(m int) *Ledger {
-	return &Ledger{
-		units:    make([][]ledgerUnit, m),
-		lastSync: make([]float64, m),
-		ready:    make([]float64, m),
-		readyFor: make([]float64, m),
-		fresh:    make([]bool, m),
-	}
+	return &Ledger{slaves: make([]slaveBook, m)}
 }
 
 // Assign records that a task's send to slave j has started, with the
 // nominal-cost arrival prediction.
 func (l *Ledger) Assign(j, task int, predictedArrival float64) {
-	l.units[j] = append(l.units[j], ledgerUnit{task: task, arrival: predictedArrival})
-	l.fresh[j] = false
+	s := &l.slaves[j]
+	s.push(ledgerUnit{task: task, arrival: predictedArrival})
+	if s.fresh {
+		s.prev = s.ready
+		s.ready = s.step(s.prev, predictedArrival)
+	}
 }
 
 // Arrived corrects the task's arrival to the observed send completion.
-// The scan runs backwards: units are stored in dispatch order and the
-// one-port master has at most one send in flight, so the arriving task
-// is the most recently assigned unit — the backward scan finds it in one
-// step (and stays correct, just longer, under the unbounded-port model).
+// The scan runs backwards: the one-port master has at most one send in
+// flight, so the arriving task is the most recently assigned unit — the
+// backward scan finds it in one step, and the memo redoes only the last
+// fold step. Under the unbounded-port model an older unit may arrive;
+// the scan is then longer and the memo is refolded.
 func (l *Ledger) Arrived(j, task int, actual float64) {
-	units := l.units[j]
-	for i := len(units) - 1; i >= 0; i-- {
-		if units[i].task == task {
-			units[i].arrival = actual
-			l.fresh[j] = false
+	s := &l.slaves[j]
+	live := s.live()
+	for i := len(live) - 1; i >= 0; i-- {
+		if live[i].task == task {
+			live[i].arrival = actual
+			if i == len(live)-1 && s.fresh {
+				s.ready = s.step(s.prev, actual)
+			} else {
+				s.fresh = false
+			}
 			return
 		}
 	}
@@ -70,67 +94,114 @@ func (l *Ledger) Arrived(j, task int, actual float64) {
 // Completed removes the task from slave j's backlog after a completion
 // notification at the given time.
 func (l *Ledger) Completed(j, task int, at float64) {
-	units := l.units[j]
-	for i := range units {
-		if units[i].task == task {
-			l.units[j] = append(units[:i], units[i+1:]...)
-			break
-		}
+	s := &l.slaves[j]
+	s.remove(task)
+	if at > s.lastSync {
+		s.lastSync = at
 	}
-	if at > l.lastSync[j] {
-		l.lastSync[j] = at
-	}
-	l.fresh[j] = false
+	s.fresh = false
 }
 
 // Fail clears slave j's backlog after a failure notification at the given
 // time: every outstanding unit is gone with the slave.
 func (l *Ledger) Fail(j int, at float64) {
-	l.units[j] = l.units[j][:0]
-	if at > l.lastSync[j] {
-		l.lastSync[j] = at
+	s := &l.slaves[j]
+	s.units = s.units[:0]
+	s.head = 0
+	if at > s.lastSync {
+		s.lastSync = at
 	}
-	l.fresh[j] = false
+	s.fresh = false
 }
 
 // Sync records that slave j was known idle at the given time (e.g. it
 // just recovered with an empty queue).
 func (l *Ledger) Sync(j int, at float64) {
-	if at > l.lastSync[j] {
-		l.lastSync[j] = at
-		l.fresh[j] = false
+	s := &l.slaves[j]
+	if at > s.lastSync {
+		s.lastSync = at
+		s.fresh = false
 	}
 }
 
 // AddSlave extends the bookkeeping for a slave joining at the given time.
 func (l *Ledger) AddSlave(at float64) {
-	l.units = append(l.units, nil)
-	l.lastSync = append(l.lastSync, at)
-	l.ready = append(l.ready, 0)
-	l.readyFor = append(l.readyFor, 0)
-	l.fresh = append(l.fresh, false)
+	l.slaves = append(l.slaves, slaveBook{lastSync: at})
 }
 
 // Outstanding returns the number of assigned, unfinished tasks on slave j.
-func (l *Ledger) Outstanding(j int) int { return len(l.units[j]) }
+func (l *Ledger) Outstanding(j int) int { return len(l.slaves[j].units) - l.slaves[j].head }
 
 // Ready estimates when slave j drains its backlog, charging nominalComp
-// per outstanding task. The estimate is served from the memo when no
-// mutation has touched the slave since it was computed (with the same
-// nominalComp); otherwise the fold below recomputes it.
+// per outstanding task. The estimate is served from the memo when it is
+// valid for the same nominalComp; otherwise the fold below recomputes
+// it.
 func (l *Ledger) Ready(j int, nominalComp float64) float64 {
-	if l.fresh[j] && l.readyFor[j] == nominalComp {
-		return l.ready[j]
+	s := &l.slaves[j]
+	if s.fresh && s.readyFor == nominalComp {
+		return s.ready
 	}
-	t := l.lastSync[j]
-	for _, u := range l.units[j] {
-		if u.arrival > t {
-			t = u.arrival
-		}
-		t += nominalComp
+	s.readyFor = nominalComp
+	t, prev := s.lastSync, s.lastSync
+	for _, u := range s.live() {
+		prev = t
+		t = s.step(t, u.arrival)
 	}
-	l.ready[j] = t
-	l.readyFor[j] = nominalComp
-	l.fresh[j] = true
+	s.ready, s.prev, s.fresh = t, prev, true
 	return t
+}
+
+// backlog returns slave j's outstanding units in dispatch order.
+func (l *Ledger) backlog(j int) []ledgerUnit { return l.slaves[j].live() }
+
+// step is one fold step: the slave starts the unit once it is both free
+// and holding it, then computes for readyFor.
+func (s *slaveBook) step(t, arrival float64) float64 {
+	if arrival > t {
+		t = arrival
+	}
+	return t + s.readyFor
+}
+
+func (s *slaveBook) live() []ledgerUnit { return s.units[s.head:] }
+
+// push appends a unit. A full array is compacted in place while a
+// quarter of it is dead, and otherwise replaced by one of twice the live
+// length (plus slack), so the array tracks the backlog rather than the
+// number of units ever assigned.
+func (s *slaveBook) push(u ledgerUnit) {
+	if len(s.units) == cap(s.units) {
+		if n := len(s.units) - s.head; 4*n > 3*cap(s.units) {
+			units := make([]ledgerUnit, n, 2*n+4)
+			copy(units, s.live())
+			s.units = units
+		} else {
+			s.units = s.units[:copy(s.units, s.live())]
+		}
+		s.head = 0
+	}
+	s.units = append(s.units, u)
+}
+
+// remove deletes the task's unit. The oldest unit, the one-port case,
+// costs O(1); any other is spliced out, keeping the rest in order.
+func (s *slaveBook) remove(task int) {
+	live := s.live()
+	switch {
+	case len(live) == 0:
+		return
+	case live[0].task == task:
+		s.head++
+	default:
+		for i := 1; i < len(live); i++ {
+			if live[i].task == task {
+				s.units = append(s.units[:s.head+i], s.units[s.head+i+1:]...)
+				break
+			}
+		}
+	}
+	if 2*s.head > len(s.units) {
+		n := copy(s.units, s.units[s.head:])
+		s.units, s.head = s.units[:n], 0
+	}
 }
