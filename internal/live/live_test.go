@@ -10,6 +10,7 @@ package live
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/sched"
@@ -151,6 +152,52 @@ func TestRealRuntimeSourceActor(t *testing.T) {
 	}
 	if len(res.Schedule.Records) != 15 {
 		t.Fatalf("%d records, want 15", len(res.Schedule.Records))
+	}
+	checkStructure(t, res.Schedule)
+}
+
+// lateSenderWorld is a real-time world whose senders resume a few
+// milliseconds after their message is delivered, as a preempted master
+// on a loaded machine does. The receiving slave is idle, so it stamps
+// its start within that gap.
+type lateSenderWorld struct {
+	*RealWorld
+}
+
+func (w lateSenderWorld) Spawn(name string, fn func(n Node)) int {
+	return w.RealWorld.Spawn(name, func(n Node) { fn(lateSender{n}) })
+}
+
+type lateSender struct {
+	Node
+}
+
+func (n lateSender) Send(dst int, m Msg, transfer float64) float64 {
+	at := n.Node.Send(dst, m, transfer)
+	time.Sleep(3 * time.Millisecond)
+	return at
+}
+
+func TestRealRuntimeArrivalPrecedesStart(t *testing.T) {
+	// The master records a task's arrival as the delivery stamp, so a
+	// sender that resumes late cannot stamp its arrival after the
+	// slave's start.
+	res, err := Run(Config{
+		Platform:  testPlatform(),
+		Scheduler: sched.New("LS"),
+		World:     lateSenderWorld{NewRealTime(testSpeedup)},
+		Sources: []func(*Source){func(src *Source) {
+			for i := 0; i < 10; i++ {
+				src.Submit(JobSpec{})
+			}
+			src.Drain()
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Schedule.Records) != 10 {
+		t.Fatalf("%d records, want 10", len(res.Schedule.Records))
 	}
 	checkStructure(t, res.Schedule)
 }

@@ -273,19 +273,20 @@ func (p *program) handle(m Msg) bool {
 
 // dispatch ships one pending task: the Send blocks this actor for the
 // actual transfer duration (port occupancy), after which the master has
-// observed its own send complete.
+// observed its own send complete. The arrival is the delivery stamp Send
+// returns, not the clock when the master resumes: on a real clock the
+// slave may already have stamped its start in between.
 func (p *program) dispatch(n Node, task core.TaskID, j int) {
 	p.drv.MarkSent(p.cfg.Scheduler.Name(), task, j)
 	t := p.drv.Task(task)
 	now := n.Now()
 	p.record(Event{T: now, Kind: EvSent, Task: int(task), Slave: j})
-	n.Send(p.slaveID[j], Msg{
+	arrive := n.Send(p.slaveID[j], Msg{
 		Kind:  msgTask,
 		Task:  int(task),
 		Slave: j,
 		Dur:   p.pl.P[j] * t.EffComp(),
 	}, p.pl.C[j]*t.EffComm())
-	arrive := n.Now()
 	p.drv.MarkArrived(task, j, arrive)
 	p.record(Event{T: arrive, Kind: EvArrived, Task: int(task), Slave: j})
 }

@@ -67,13 +67,16 @@ func (n *virtualNode) Now() float64 { return n.p.Now() }
 func (n *virtualNode) Sleep(d float64) { n.p.Sleep(d) }
 
 // Send implements Node: post the delivery for the end of the transfer,
-// then hold the caller (the sending port) for its duration.
-func (n *virtualNode) Send(dst int, m Msg, transfer float64) {
+// then hold the caller (the sending port) for its duration. The kernel
+// wakes the sleeper at exactly Now() + transfer, so the returned stamp
+// equals the clock when Send returns.
+func (n *virtualNode) Send(dst int, m Msg, transfer float64) float64 {
 	m.At = n.p.Now() + transfer
 	n.p.Post(dst, vclock.Message{Payload: m}, transfer)
 	if transfer > 0 {
 		n.p.Sleep(transfer)
 	}
+	return m.At
 }
 
 // Post implements Node: synchronous same-instant delivery, no yield.
