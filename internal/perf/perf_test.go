@@ -65,7 +65,14 @@
 //     read path fails CI;
 //   - BenchmarkConcurrentFirehose — the PR-10 sharded intake under 4
 //     concurrent producers (alloc column gated; the throughput claim
-//     lives in the committed BENCH artifact's concurrent_speedup_x).
+//     lives in the committed BENCH artifact's concurrent_speedup_x);
+//   - BenchmarkVirtualExecution — the execution layer alone: a 20000-job
+//     population admitted into an unstarted 4-shard virtual-clock
+//     cluster, then only Start and Drain timed (decisions, ledger,
+//     kernel handoffs, observers), CPU-bound and gated;
+//   - BenchmarkVClockHandoff — the virtual-clock kernel's process
+//     handoff alone (two processes ping-ponging a delay-0 Post),
+//     CPU-bound, gated, and hard-gated at 0 allocs/op.
 //
 // Keep these benchmarks deterministic in their workloads (fixed seeds,
 // fixed scales): the gate compares ns/op and allocs/op across commits,
@@ -90,6 +97,7 @@ import (
 	"repro/internal/schedd"
 	"repro/internal/sim"
 	"repro/internal/sim/equeue"
+	"repro/internal/vclock"
 )
 
 // BenchmarkEventQueue exercises the event heap in isolation with a
@@ -704,5 +712,84 @@ func BenchmarkConcurrentFirehose(b *testing.B) {
 		if r.Jobs() != total {
 			b.Fatalf("routed %d of %d", r.Jobs(), total)
 		}
+	}
+}
+
+// BenchmarkVirtualExecution is the execution layer alone: 20 lines of
+// 1000 jobs (seeded comm and comp scales in [0.5, 1.5]) are admitted
+// into an unstarted 4-shard virtual-clock cluster on the eight-slave
+// stream-workload platform, and the timer covers only Start and Drain.
+// Every shard runs its master, slaves and source as vclock processes, so
+// one op pays the scheduler's decisions, the ledger upkeep, the kernel
+// handoffs and the runtime's observers for 20000 jobs. Deterministic and
+// CPU-bound, so fully gated.
+func BenchmarkVirtualExecution(b *testing.B) {
+	pl := core.NewPlatform(
+		[]float64{0.1, 0.1, 0.2, 0.2, 0.3, 0.3, 0.1, 0.2},
+		[]float64{0.4, 0.8, 0.4, 0.8, 0.4, 0.8, 0.4, 0.8})
+	const lines, perLine = 20, 1000
+	rng := rand.New(rand.NewSource(1))
+	specs := make([]live.JobSpec, lines)
+	for i := range specs {
+		specs[i] = live.JobSpec{CommScale: 0.5 + rng.Float64(), CompScale: 0.5 + rng.Float64()}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		r, err := cluster.New(cluster.Config{
+			Platform:     pl,
+			NewScheduler: func() sim.Scheduler { return sched.New("LS") },
+			Shards:       4,
+			Placement:    cluster.PlacementLeastLoaded,
+			Partition:    core.PartitionBalanced,
+			World:        func(int) live.World { return live.NewVirtual() },
+			Firehose:     &cluster.FirehoseConfig{QueueDepth: lines * perLine},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, spec := range specs {
+			if _, err := r.SubmitRange(spec, perLine); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+		r.Start()
+		if err := r.Drain(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lines*perLine), "ns/job")
+}
+
+// BenchmarkVClockHandoff is the kernel's handoff alone: two processes
+// ping-pong a delay-0 Post. One op is 100 round trips, each one message
+// and one blocking receive per process, so two handoffs; the timer
+// covers only the round trips after a warm-up, not spawning the
+// goroutines or ending the run. The contract is 0 allocs/op, which CI
+// enforces.
+func BenchmarkVClockHandoff(b *testing.B) {
+	const warmup, perOp = 64, 100
+	rounds := warmup + b.N*perOp
+	c := vclock.New()
+	var ping, pong int
+	ping = c.Spawn("ping", func(p *vclock.Proc) {
+		for i := 0; i < rounds; i++ {
+			if i == warmup {
+				b.ResetTimer()
+			}
+			p.Post(pong, vclock.Message{Tag: i}, 0)
+			p.Recv()
+		}
+		b.StopTimer()
+	})
+	pong = c.Spawn("pong", func(p *vclock.Proc) {
+		for i := 0; i < rounds; i++ {
+			p.Post(ping, p.Recv(), 0)
+		}
+	})
+	b.ReportAllocs()
+	if err := c.Run(); err != nil {
+		b.Fatal(err)
 	}
 }
