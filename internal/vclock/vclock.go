@@ -56,12 +56,12 @@ type Proc struct {
 	wakeAt float64
 	// mailbox holds delivered messages; the unread ones are
 	// mailbox[head:]. Reading advances head instead of reslicing, and
-	// the buffer is rewound when it drains or compacted once head passes
-	// half its length, so a long-lived mailbox reuses one array.
+	// the unread messages move to the front once head passes half the
+	// buffer (which rewinds a drained one), so a long-lived mailbox
+	// reuses one array.
 	mailbox []Message
 	head    int
 	resume  chan struct{}
-	err     error
 }
 
 // ID returns the process identifier (its spawn order).
@@ -156,15 +156,10 @@ func (p *Proc) take() Message {
 	msg := p.mailbox[p.head]
 	p.mailbox[p.head] = Message{} // drop the payload reference
 	p.head++
-	switch {
-	case p.head == len(p.mailbox):
-		p.mailbox = p.mailbox[:0]
-		p.head = 0
-	case 2*p.head > len(p.mailbox):
+	if 2*p.head > len(p.mailbox) {
 		n := copy(p.mailbox, p.mailbox[p.head:])
-		clear(p.mailbox[n:])
-		p.mailbox = p.mailbox[:n]
-		p.head = 0
+		clear(p.mailbox[p.head:]) // the moved messages' old slots
+		p.mailbox, p.head = p.mailbox[:n], 0
 	}
 	return msg
 }
@@ -177,13 +172,9 @@ func (p *Proc) yield() {
 	if next == p {
 		return
 	}
-	if next == nil {
-		// The run is over with p still blocked: a deadlock. p stays
-		// parked, as every other blocked process does.
-		p.c.end <- err
-	} else {
-		next.resume <- struct{}{}
-	}
+	// A nil next means a deadlock with p still blocked; p then stays
+	// parked, as every other blocked process does.
+	p.c.switchTo(next, err)
 	<-p.resume
 }
 
@@ -284,19 +275,15 @@ func (c *Cluster) Spawn(name string, fn func(p *Proc)) int {
 	go func() {
 		<-p.resume
 		defer func() {
-			if r := recover(); r != nil {
-				p.err = fmt.Errorf("vclock: process %q panicked: %v", p.name, r)
-			}
 			p.state = done
-			if p.err != nil {
-				c.end <- p.err
+			// Nothing reads a finished process's mail: release the
+			// mailbox, which a busy process leaves at its peak size.
+			p.mailbox, p.head = nil, 0
+			if r := recover(); r != nil {
+				c.end <- fmt.Errorf("vclock: process %q panicked: %v", p.name, r)
 				return
 			}
-			if next, err := c.next(); next != nil {
-				next.resume <- struct{}{}
-			} else {
-				c.end <- err
-			}
+			c.switchTo(c.next())
 		}()
 		fn(p)
 	}()
@@ -310,12 +297,18 @@ func (c *Cluster) Spawn(name string, fn func(p *Proc)) int {
 // successor, and Run waits for the outcome.
 func (c *Cluster) Run() error {
 	c.started = true
-	next, err := c.next()
+	c.switchTo(c.next())
+	return <-c.end
+}
+
+// switchTo passes control to the process the scheduling step picked,
+// or, when it picked none, ends the run with the step's outcome.
+func (c *Cluster) switchTo(next *Proc, err error) {
 	if next == nil {
-		return err
+		c.end <- err
+		return
 	}
 	next.resume <- struct{}{}
-	return <-c.end
 }
 
 // next is the scheduling step. It resumes ready processes in id order,
