@@ -10,7 +10,7 @@ package sim
 import (
 	"math"
 	"math/rand"
-	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -85,18 +85,22 @@ func TestLedgerReadyDifferential(t *testing.T) {
 			// mutations exercise the memo path.
 			for q := 0; q < 1+rng.Intn(3); q++ {
 				qj := rng.Intn(m)
-				if got := l.backlog(qj); !reflect.DeepEqual(append([]ledgerUnit{}, got...), append([]ledgerUnit{}, ref[qj]...)) {
+				if got := l.backlog(qj); !slices.Equal(got, ref[qj]) {
 					t.Fatalf("trial %d op %d: backlog(%d) = %v, reference %v", trial, op, qj, got, ref[qj])
 				}
 				if l.Outstanding(qj) != len(ref[qj]) {
 					t.Fatalf("trial %d op %d: Outstanding(%d) = %d, want %d", trial, op, qj, l.Outstanding(qj), len(ref[qj]))
 				}
-				got := l.Ready(qj, comp[qj])
-				want := refReady(refSync[qj], l.backlog(qj), comp[qj])
+				c := comp[qj]
+				if rng.Intn(8) == 0 { // a drifted nominal cost: the memo must not answer for it
+					c *= 1.5
+				}
+				got := l.Ready(qj, c)
+				want := refReady(refSync[qj], l.backlog(qj), c)
 				if got != want {
 					t.Fatalf("trial %d op %d: Ready(%d) = %v, reference fold = %v", trial, op, qj, got, want)
 				}
-				if again := l.Ready(qj, comp[qj]); again != got {
+				if again := l.Ready(qj, c); again != got {
 					t.Fatalf("trial %d op %d: memoized Ready(%d) = %v after %v", trial, op, qj, again, got)
 				}
 			}

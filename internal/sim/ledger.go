@@ -168,7 +168,10 @@ func (s *slaveBook) live() []ledgerUnit { return s.units[s.head:] }
 // push appends a unit. A full array is compacted in place while a
 // quarter of it is dead, and otherwise replaced by one of twice the live
 // length (plus slack), so the array tracks the backlog rather than the
-// number of units ever assigned.
+// number of units ever assigned. taskFIFO.Push follows the same rule;
+// the two are not one generic queue because Go names a generic
+// instantiation after its shape type, which for ledgerUnit spells out
+// this package's path and defeats per-package CPU-profile attribution.
 func (s *slaveBook) push(u ledgerUnit) {
 	if len(s.units) == cap(s.units) {
 		if n := len(s.units) - s.head; 4*n > 3*cap(s.units) {
